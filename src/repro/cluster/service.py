@@ -345,9 +345,11 @@ class ClusterService:
         """Attach variant-specific extras to the merged result."""
 
     def profit_so_far(self) -> float:
-        """Realized profit across live shards, mid-run.
+        """Realized profit across live shards, mid-run, in O(k).
 
-        The candidate-trial commit decision
+        Each shard engine keeps a running profit sum, so this costs one
+        O(1) read per shard, whatever the history.  The candidate-trial
+        commit decision
         (:class:`~repro.cluster.coordinator.CandidateTrial`) reads this
         to compare shadow schedules on actual outcomes.  In-process
         only: a process-mode read would add one fence per shard for a

@@ -175,6 +175,15 @@ class IngestQueue:
         self.accepted += 1
         return victim
 
+    def holds_newest(self, entry: QueuedJob) -> bool:
+        """Whether ``entry`` is the newest buffered job, in O(1).
+
+        Right after :meth:`offer` accepted ``entry`` it sits at the tail,
+        and releases only pop from the head, so it is still buffered
+        exactly when it is still the tail.
+        """
+        return bool(self._entries) and self._entries[-1] is entry
+
     def pop(self) -> QueuedJob:
         """Release the oldest buffered job."""
         return self._entries.popleft()

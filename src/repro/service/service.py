@@ -40,6 +40,17 @@ from repro.sim.scheduler import Scheduler
 from repro.service.queue import IngestQueue, QueuedJob, ShedPolicy, sns_density
 from repro.service.telemetry import MetricsRegistry
 
+#: Gauges :meth:`SchedulingService._sync_gauges` writes, in creation order.
+_SYNCED_GAUGES = (
+    "queue_depth",
+    "in_flight",
+    "completed_total",
+    "expired_total",
+    "profit_total",
+    "profit_rate",
+    "utilization",
+)
+
 
 class Admission(enum.Enum):
     """Outcome of one :meth:`SchedulingService.submit` call."""
@@ -195,6 +206,8 @@ class SchedulingService:
         #: jobs dropped before release, in drop order
         self.shed_log: list[ShedRecord] = []
         self._last_sample_t: Optional[int] = None
+        # handles of the gauges _sync_gauges writes, fetched on first use
+        self._gauges: Optional[tuple[Any, ...]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -255,7 +268,7 @@ class SchedulingService:
         self._maybe_sample()
         if victim is entry:
             outcome = Admission.SHED
-        elif any(e is entry for e in self.queue.entries()):
+        elif self.queue.holds_newest(entry):
             outcome = Admission.QUEUED
         else:
             outcome = Admission.ADMITTED
@@ -338,7 +351,7 @@ class SchedulingService:
             self.advance_to(t)
         self.sim.inject_active(payload)
         # no telemetry sample here: injection is a coordinator action,
-        # not a stream event, and mid-run profit reads are O(finished)
+        # not a stream event, so it does not tick the sampled series
         self.metrics.counter("stolen_in_total").inc()
 
     def forget_pending(self, job_id: int) -> Optional[JobSpec]:
@@ -513,19 +526,31 @@ class SchedulingService:
         in_flight: Optional[int] = None,
         profit: Optional[float] = None,
     ) -> None:
-        metrics = self.metrics
-        metrics.gauge("queue_depth").set(self.queue.depth)
+        gauges = self._gauges
+        if gauges is None:
+            gauge = self.metrics.gauge
+            gauges = self._gauges = tuple(map(gauge, _SYNCED_GAUGES))
+        (
+            queue_depth,
+            in_flight_gauge,
+            completed,
+            expired,
+            profit_total,
+            profit_rate,
+            utilization,
+        ) = gauges
+        queue_depth.set(self.queue.depth)
         if in_flight is None:
             in_flight = self.in_flight
         if profit is None:
             profit = self.sim.profit_so_far()
-        metrics.gauge("in_flight").set(in_flight)
-        metrics.gauge("completed_total").set(counters.completions)
-        metrics.gauge("expired_total").set(counters.expiries)
-        metrics.gauge("profit_total").set(profit)
-        metrics.gauge("profit_rate").set(profit / now if now > 0 else 0.0)
+        in_flight_gauge.set(in_flight)
+        completed.set(counters.completions)
+        expired.set(counters.expiries)
+        profit_total.set(profit)
+        profit_rate.set(profit / now if now > 0 else 0.0)
         allocated = counters.allocated_steps
-        metrics.gauge("utilization").set(
+        utilization.set(
             counters.busy_steps / allocated if allocated > 0 else 0.0
         )
 

@@ -72,6 +72,9 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Any] = {}
         self._mean_counts: dict[str, int] = {}
+        #: (name, metric) pairs in :meth:`values` order, rebuilt only
+        #: after a new counter or gauge appears
+        self._ordered: Optional[list[tuple[str, Any]]] = None
         self.sink = sink
         self.keep_samples = bool(keep_samples)
         #: retained samples, one flat dict per call to :meth:`sample`
@@ -83,6 +86,7 @@ class MetricsRegistry:
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter(name)
+            self._ordered = None
         return metric
 
     def gauge(self, name: str) -> Gauge:
@@ -90,6 +94,7 @@ class MetricsRegistry:
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge(name)
+            self._ordered = None
         return metric
 
     def histogram(self, name: str, capacity: int = 1024) -> Any:
@@ -119,14 +124,19 @@ class MetricsRegistry:
             for name in sorted(self._histograms)
         }
 
+    def _in_order(self) -> list[tuple[str, Any]]:
+        """(name, metric) pairs, counters then gauges, each by name."""
+        ordered = self._ordered
+        if ordered is None:
+            counters, gauges = self._counters, self._gauges
+            ordered = self._ordered = [
+                (name, counters[name]) for name in sorted(counters)
+            ] + [(name, gauges[name]) for name in sorted(gauges)]
+        return ordered
+
     def values(self) -> dict[str, float]:
         """Current value of every metric, counters before gauges."""
-        out: dict[str, float] = {}
-        for name in sorted(self._counters):
-            out[name] = self._counters[name].value
-        for name in sorted(self._gauges):
-            out[name] = self._gauges[name].value
-        return out
+        return {name: metric.value for name, metric in self._in_order()}
 
     # ------------------------------------------------------------------
     def sample(self, t: int) -> dict[str, Any]:
@@ -136,7 +146,8 @@ class MetricsRegistry:
         written to the sink (when set); it is also returned.
         """
         record: dict[str, Any] = {"t": int(t)}
-        record.update(self.values())
+        for name, metric in self._in_order():
+            record[name] = metric.value
         if self.keep_samples:
             self.samples.append(record)
         if self.sink is not None:

@@ -54,6 +54,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
@@ -76,6 +77,10 @@ from repro.dag.node import NodeState as _NodeState  # noqa: E402
 _DONE = int(_NodeState.DONE)
 _READY = int(_NodeState.READY)
 _RUNNING = int(_NodeState.RUNNING)
+
+# ``sum()`` over floats uses Neumaier compensated summation from Python
+# 3.12 on; the running profit sum mirrors it so it stays bit-identical.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 #: Version tag of the engine snapshot format (see :meth:`Simulator.snapshot_state`).
 ENGINE_SNAPSHOT_VERSION = 1
@@ -126,6 +131,8 @@ class _RunState:
         "ids",
         "active",
         "finished",
+        "profit",
+        "profit_c",
         "deadline_heap",
         "prev_running",
         "counters",
@@ -145,6 +152,10 @@ class _RunState:
         self.ids: set[int] = set()
         self.active: dict[int, ActiveJob] = {}
         self.finished: dict[int, CompletionRecord] = {}
+        #: running ``sum(r.profit for r in finished.values())`` (int 0
+        #: start, like ``sum``) and its Neumaier compensation term
+        self.profit: float = 0
+        self.profit_c = 0.0
         self.deadline_heap: list[tuple[int, int]] = []  # (deadline, job_id)
         # job_id -> node list of the last pick (pick order preserved; the
         # stale check compares picks element-wise, which for order-stable
@@ -153,6 +164,30 @@ class _RunState:
         self.prev_running: dict[int, list[int]] = {}
         self.counters = RunCounters()
         self.trace = trace
+
+    def record(self, rec: CompletionRecord) -> None:
+        """Write a terminal record and add its profit to the running sum.
+
+        ``finished`` is only ever appended to through here, so the sum
+        runs in insertion order and replays CPython's ``sum()`` step for
+        step: plain addition, plus from 3.12 on the compensation of each
+        float-float step (int items are added uncompensated there too).
+        """
+        self.finished[rec.job_id] = rec
+        x = rec.profit
+        s = self.profit
+        t = s + x
+        if _COMPENSATED_SUM and type(x) is float and type(s) is float:
+            if abs(s) >= abs(x):
+                self.profit_c += (s - t) + x
+            else:
+                self.profit_c += (x - t) + s
+        self.profit = t
+
+    def total_profit(self) -> float:
+        """Equal to ``sum(r.profit for r in finished.values())``, in O(1)."""
+        c = self.profit_c
+        return self.profit + c if c and math.isfinite(c) else self.profit
 
 
 class Simulator:
@@ -311,13 +346,15 @@ class Simulator:
         # jobs never released (horizon before arrival) get empty records
         while state.pending:
             _, job_id, spec = heapq.heappop(state.pending)
-            state.finished[job_id] = CompletionRecord(
-                job_id=job_id,
-                arrival=spec.arrival,
-                deadline=spec.deadline,
-                completion_time=None,
-                profit=0.0,
-                abandoned=True,
+            state.record(
+                CompletionRecord(
+                    job_id=job_id,
+                    arrival=spec.arrival,
+                    deadline=spec.deadline,
+                    completion_time=None,
+                    profit=0.0,
+                    abandoned=True,
+                )
             )
             state.counters.abandons += 1
             if emit is not None:
@@ -367,9 +404,8 @@ class Simulator:
         return self._require_session().counters
 
     def profit_so_far(self) -> float:
-        """Profit accumulated by finished jobs in the open session."""
-        state = self._require_session()
-        return sum(r.profit for r in state.finished.values())
+        """Profit accumulated by finished jobs in the open session, in O(1)."""
+        return self._require_session().total_profit()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -459,8 +495,7 @@ class Simulator:
             job = self._active_from_dict(entry)
             state.active[job.job_id] = job
         for entry in data["finished"]:
-            rec = _record_from_dict(entry)
-            state.finished[rec.job_id] = rec
+            state.record(_record_from_dict(entry))
         state.deadline_heap = [(int(d), int(j)) for d, j in data["deadline_heap"]]
         heapq.heapify(state.deadline_heap)
         state.prev_running = {
@@ -562,7 +597,7 @@ class Simulator:
             job.expired = True
             job.dag.mark_preempted(job.executing)
             job.executing = ()
-            state.finished[job_id] = _finish_record(job)
+            state.record(_finish_record(job))
             state.counters.expiries += 1
             if state.trace:
                 state.trace.event(state.t, EventKind.ARRIVAL, job_id)
@@ -648,7 +683,7 @@ class Simulator:
         active = state.active
         deadline_heap = state.deadline_heap
         prev_running = state.prev_running
-        finished = state.finished
+        record = state.record
         counters = state.counters
         trace = state.trace
         speed = self.speed
@@ -745,7 +780,7 @@ class Simulator:
                 job.executing = ()
                 prev_running.pop(job_id, None)
                 del active[job_id]
-                finished[job_id] = _finish_record(job)
+                record(_finish_record(job))
                 counters.expiries += 1
                 if trace:
                     trace.event(state.t, EventKind.EXPIRY, job_id)
@@ -1032,7 +1067,7 @@ class Simulator:
                 job.executing = ()
                 prev_running.pop(job.job_id, None)
                 del active[job.job_id]
-                finished[job.job_id] = _finish_record(job)
+                record(_finish_record(job))
                 counters.completions += 1
                 if trace:
                     trace.event(t, EventKind.COMPLETION, job.job_id)
@@ -1107,7 +1142,7 @@ class Simulator:
             job.dag.mark_preempted(job.executing)
             job.executing = ()
             state.prev_running.pop(job_id, None)
-            state.finished[job_id] = _finish_record(job)
+            state.record(_finish_record(job))
             state.counters.abandons += 1
             if state.trace:
                 state.trace.event(state.t, EventKind.ABANDON, job_id)

@@ -100,6 +100,18 @@ class TestQueue:
             q.offer(make_entry(i, float(i)))
         assert [q.pop().job_id for _ in range(5)] == [0, 1, 2, 3, 4]
 
+    def test_holds_newest(self):
+        q = IngestQueue(4)
+        first, second = make_entry(1, 1.0), make_entry(2, 1.0)
+        assert not q.holds_newest(first)
+        q.offer(first)
+        assert q.holds_newest(first)
+        q.offer(second)
+        assert q.holds_newest(second) and not q.holds_newest(first)
+        q.pop()
+        q.pop()
+        assert not q.holds_newest(second)
+
     def test_peek_and_depth(self):
         q = IngestQueue(4)
         assert q.peek() is None

@@ -152,7 +152,10 @@ class TestServicePassThrough:
         service.start()
         outcomes = set()
         for spec in sorted(specs, key=lambda s: (s.arrival, s.job_id)):
-            outcomes.add(service.submit(spec, t=spec.arrival))
+            outcome = service.submit(spec, t=spec.arrival)
+            queued = any(e.job_id == spec.job_id for e in service.queue.entries())
+            assert (outcome is Admission.QUEUED) == queued
+            outcomes.add(outcome)
         service.finish()
         assert Admission.ADMITTED in outcomes
         assert Admission.QUEUED in outcomes or Admission.SHED in outcomes
